@@ -630,6 +630,7 @@ mod tests {
     use super::*;
     use crate::pipeline::ge2val;
     use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
+    use std::sync::atomic::Ordering;
 
     /// Sizes straddling the crossover, as the issue prescribes.
     const SIZES: [usize; 6] = [8, 31, 32, 33, 64, 97];
@@ -765,27 +766,23 @@ mod tests {
 
     #[test]
     fn session_drop_and_recreate_does_not_leak_threads() {
-        fn thread_count() -> usize {
-            let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-            status
-                .lines()
-                .find_map(|l| l.strip_prefix("Threads:"))
-                .and_then(|v| v.trim().parse().ok())
-                .expect("Threads: line")
-        }
-        let before = thread_count();
+        // Counts the session pool's own workers, not the process's
+        // threads, so sibling tests starting and joining threads cannot
+        // move the number.
         for round in 0..5u64 {
             let session = SvdSession::new(3);
+            let live = session.pool.live_workers();
+            assert_eq!(live.load(Ordering::Acquire), 3);
             let a = random_gaussian(40, 30, round);
             let _ = session.submit(&a).unwrap().wait().unwrap();
             drop(session);
+            // Every pool joined its workers on drop.
+            assert_eq!(
+                live.load(Ordering::Acquire),
+                0,
+                "worker threads leaked across session lifetimes (round {round})"
+            );
         }
-        // Every pool joined its workers on drop: back to the baseline.
-        assert_eq!(
-            thread_count(),
-            before,
-            "worker threads leaked across session lifetimes"
-        );
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //!   runtime of `bidiag-runtime` (dependencies inferred from data accesses),
 //! * [`build_graph`] — lower the list to a [`TaskGraph`] for critical-path
 //!   measurements and machine simulation,
-//! * [`bnd2bd_on_runtime`] / [`bd2val_on_runtime`] — run the second and
-//!   third pipeline stages through the same runtime, so every stage of
-//!   GE2VAL is scheduled by one executor.  BND2BD fans out one task per
-//!   bulge-chasing *wavefront* (row-block dependencies let wavefronts of
-//!   different groups and passes overlap); BD2VAL fans out one task per
+//! * [`bnd2bd_on_runtime`] / [`bd2val_on_runtime`] — the second and third
+//!   pipeline stages with the per-stage signature.  BND2BD is the
+//!   sequential cache-blocked bulge chase at every thread count (the
+//!   wavefront DAG is too fine and too deep to pay for its scheduling — see
+//!   [`bnd2bd_on_runtime`]); BD2VAL fans out one runtime task per
 //!   *spectrum interval* (Sturm-count slicing from `bidiag-svd`), or runs
-//!   the serial dqds fast path as a single task — see [`bd2val_task_count`].
+//!   the serial dqds fast path directly on the caller — see
+//!   [`bd2val_task_count`].
 //!
 //! # Parallel data plane
 //!
@@ -34,7 +35,7 @@
 //!   factorization kernel produces into its table slot.
 
 use crate::ops::{KernelScratch, TauTable, TileOp};
-use bidiag_kernels::band::{bulge_wavefronts, BandMatrix};
+use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::gebd2::Bidiagonal;
 use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
 use bidiag_obs as obs;
@@ -119,95 +120,31 @@ pub fn build_graph(ops: &[TileOp], q: usize, dist: &BlockCyclic) -> TaskGraph {
     g
 }
 
-/// The band matrix shared across BND2BD wavefront tasks.
+/// Run the BND2BD stage (band to bidiagonal) on the calling thread.
 ///
-/// # Safety
-///
-/// The wavefront task graph declares `Write` accesses on every band row
-/// block a task may touch ([`bidiag_kernels::band::Wavefront::row_blocks`]),
-/// so the runtime
-/// orders every pair of tasks whose blocks intersect; tasks it lets run
-/// concurrently have disjoint row sets, and in the packed band layout every
-/// element belongs to exactly one row — concurrent tasks therefore touch
-/// disjoint memory and the unsynchronised access is race-free.
-struct SharedBand(std::cell::UnsafeCell<BandMatrix>);
-
-unsafe impl Sync for SharedBand {}
-
-/// Run the BND2BD stage (band to bidiagonal) through the task runtime: one
-/// task per pipelined bulge-chasing *wavefront* (see
-/// [`bulge_wavefronts`]), with dependencies inferred from the band row
-/// blocks each wavefront touches.
-///
-/// Wavefronts of one group conflict on their shared window of the band and
-/// execute in pipeline order, but wavefronts of *different* groups — and of
-/// different superdiagonal passes — overlap whenever their row blocks are
-/// disjoint, so the stage scales with threads like GE2BND (the paper
-/// delegates this stage to PLASMA's multi-threaded bulge-chasing kernel).
-///
-/// The deflation threshold is computed once up front, exactly as
-/// [`BandMatrix::reduce_to_bidiagonal`] does, and conflicting wavefronts
-/// execute in program order, so the result is bitwise identical to the
-/// sequential reduction at every thread count.
-pub fn bnd2bd_on_runtime(band: &mut BandMatrix, threads: usize) -> Bidiagonal {
-    let bw = band.bandwidth();
-    let n = band.order();
-    if bw < 2 || n < 3 {
-        return band.bidiagonal_factor();
-    }
-    let wavefronts = bulge_wavefronts(n, bw);
-    let tol = band.deflation_tolerance();
-    let block_rows = bw.max(2);
-    let mut g = TaskGraph::new();
-    let mut accesses: Vec<(u64, AccessMode)> = Vec::new();
-    for wf in &wavefronts {
-        accesses.clear();
-        accesses.extend(
-            wf.row_blocks(n, block_rows)
-                .into_iter()
-                .map(|blk| (blk, AccessMode::Write)),
-        );
-        g.add_task(
-            wf.steps(n).count().max(1) as f64,
-            0,
-            obs::KIND_BND2BD,
-            &accesses,
-        );
-    }
-    let shared = Arc::new(SharedBand(std::cell::UnsafeCell::new(std::mem::replace(
-        band,
-        BandMatrix::zeros(1, 1),
-    ))));
-    let bodies: Vec<TaskBody> = wavefronts
-        .iter()
-        .map(|&wf| {
-            let shared = Arc::clone(&shared);
-            Box::new(move || {
-                // SAFETY: see [`SharedBand`] — the graph orders every pair
-                // of wavefronts with intersecting row blocks, and a
-                // wavefront only writes rows inside its declared blocks.
-                unsafe { (*shared.0.get()).run_wavefront(&wf, tol) };
-            }) as TaskBody
-        })
-        .collect();
-    runtime_execute(&g, bodies, threads);
-    let Ok(cell) = Arc::try_unwrap(shared) else {
-        unreachable!("all workers joined");
-    };
-    *band = cell.0.into_inner();
-    band.bidiagonal_factor()
+/// This is [`BandMatrix::reduce_to_bidiagonal`], the cache-blocked
+/// pipelined bulge chase, at every thread count; `threads` is accepted so
+/// stage-by-stage callers keep one signature for every stage.  The chase
+/// is deliberately not fanned out on the runtime: at n = 512, bw = 64 one
+/// task per wavefront is 113k tasks of ~4.5 chase steps each, building
+/// that graph costs more than the whole sequential chase, and its
+/// critical path holds 81% of the work, so no schedule can gain more than
+/// 1.23x (ARCHITECTURE.md, "Why the chase runs on one thread").
+pub fn bnd2bd_on_runtime(band: &mut BandMatrix, _threads: usize) -> Bidiagonal {
+    band.reduce_to_bidiagonal()
 }
 
-/// Number of runtime tasks [`bd2val_on_runtime`] fans out for this
-/// bidiagonal under these options — the *interval* count, not the value
-/// count.
+/// Number of independent solver work units [`bd2val_on_runtime`] splits
+/// this bidiagonal into under these options — the *interval* count, not
+/// the value count.
 ///
-/// The sliced path spawns one task per [`SpectrumSlice`]
+/// The sliced path spawns one runtime task per [`SpectrumSlice`]
 /// (`~ceil(k / values_per_task)`, fewer when slices merge inside
-/// clusters); dqds runs as a single task; only the explicit
-/// [`SvdSolver::Bisection`] oracle keeps the historical one-task-per-value
-/// fan-out.  Exposed so tests can pin the task-count contract (the old
-/// per-value fan-out cost 512 task activations on the reference case).
+/// clusters); dqds is one serial solve, run on the caller without a
+/// runtime task; only the explicit [`SvdSolver::Bisection`] oracle keeps
+/// the historical one-task-per-value fan-out.  Exposed so tests can pin
+/// the task-count contract (the old per-value fan-out cost 512 task
+/// activations on the reference case).
 ///
 /// [`SpectrumSlice`]: bidiag_svd::SpectrumSlice
 pub fn bd2val_task_count(diag: &[f64], superdiag: &[f64], opts: &Bd2ValOptions) -> usize {
@@ -232,9 +169,9 @@ pub fn bd2val_task_count(diag: &[f64], superdiag: &[f64], opts: &Bd2ValOptions) 
 ///   the runtime schedules **one task per interval** (not per value — see
 ///   [`bd2val_task_count`]), each resolving its whole bracket with a
 ///   batched Newton/bisection front;
-/// * [`SvdSolver::Dqds`] — the serial fast path, scheduled as a single
-///   task (at `O(n^2)` with a small constant it is cheaper than any
-///   fan-out for the sizes this pipeline runs);
+/// * [`SvdSolver::Dqds`] — the serial fast path, called directly on the
+///   calling thread (at `O(n^2)` with a small constant it is cheaper than
+///   any fan-out — or any thread spawn — for the sizes this pipeline runs);
 /// * [`SvdSolver::Bisection`] — the oracle: one task per singular value,
 ///   kept for reference runs and determinism tests.
 ///
@@ -253,23 +190,7 @@ pub fn bd2val_on_runtime(
         return Vec::new();
     }
     match opts.solver {
-        SvdSolver::Dqds => {
-            let mut g = TaskGraph::new();
-            g.add_task(1.0, 0, obs::KIND_BD2VAL, &[(0, AccessMode::Write)]);
-            let result: Arc<std::sync::OnceLock<Vec<f64>>> = Arc::new(std::sync::OnceLock::new());
-            let d = diag.to_vec();
-            let e = superdiag.to_vec();
-            let slot = Arc::clone(&result);
-            let bodies: Vec<TaskBody> = vec![Box::new(move || {
-                slot.set(bidiag_svd::dqds_singular_values(&d, &e))
-                    .expect("dqds task ran twice");
-            }) as TaskBody];
-            runtime_execute(&g, bodies, threads);
-            Arc::try_unwrap(result)
-                .expect("all workers joined")
-                .into_inner()
-                .expect("dqds task never ran")
-        }
+        SvdSolver::Dqds => bidiag_svd::dqds_singular_values(diag, superdiag),
         SvdSolver::SlicedBisection => {
             let sturm = Arc::new(GkSturm::new(diag, superdiag));
             let slices = slice_spectrum(&sturm, opts.values_per_task);
@@ -445,24 +366,26 @@ mod tests {
     }
 
     #[test]
-    fn bnd2bd_wavefront_tasks_are_deterministic_across_thread_counts() {
-        // Conflicting wavefronts are graph-ordered and concurrent ones
-        // touch disjoint rows, so every thread count must reproduce the
-        // sequential reduction bit for bit.
-        for (n, bw, seed) in [(100usize, 8usize, 13u64), (61, 3, 14), (40, 17, 15)] {
-            let mut reference = random_band(n, bw, seed);
-            let band0 = reference.clone();
-            let seq = reference.reduce_to_bidiagonal();
-            for threads in [1usize, 2, 4] {
-                let mut b = band0.clone();
-                let par = bnd2bd_on_runtime(&mut b, threads);
-                assert_eq!(seq.diag, par.diag, "n={n} bw={bw} @ {threads} threads");
-                assert_eq!(
-                    seq.superdiag, par.superdiag,
-                    "n={n} bw={bw} @ {threads} threads"
-                );
-                // The band storages themselves must agree too.
-                assert_eq!(reference.to_dense(), b.to_dense());
+    fn ge2val_is_bitwise_identical_across_thread_counts_on_ragged_shapes() {
+        // Only GE2BND's tile DAG runs on the runtime; the band stages run
+        // on the caller.  Every thread count must reproduce the one-thread
+        // spectrum bit for bit, including ragged tilings: n not a multiple
+        // of nb, a band narrower than the tile (bw = n - 1 < nb), a wide
+        // input (m < n, transposed), and a tall R-BIDIAG shape.
+        use crate::pipeline::{ge2val, Ge2Options};
+        for (m, n, nb, seed) in [
+            (37usize, 23usize, 5usize, 13u64),
+            (14, 9, 12, 14),
+            (17, 29, 6, 15),
+            (61, 20, 6, 16),
+        ] {
+            let a = random_gaussian(m, n, seed);
+            let opts = |t: usize| Ge2Options::new(nb).with_threads(t);
+            let seq = ge2val(&a, &opts(1)).singular_values;
+            assert_eq!(seq.len(), m.min(n));
+            for threads in [2usize, 4] {
+                let par = ge2val(&a, &opts(threads)).singular_values;
+                assert_eq!(seq, par, "{m}x{n} nb={nb} @ {threads} threads");
             }
         }
     }

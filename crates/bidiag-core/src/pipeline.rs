@@ -7,22 +7,23 @@
 //! * [`Ge2Options`] — tile size, reduction tree, algorithm selection and
 //!   threading knobs.
 //!
-//! With `threads > 1` every stage runs on the work-stealing task runtime of
-//! `bidiag-runtime`: GE2BND as the tile-kernel DAG, BND2BD as one task per
-//! pipelined bulge-chasing *wavefront* (row-block dependencies let
-//! memory-disjoint wavefronts overlap — the paper delegates this stage to
-//! PLASMA's multi-threaded bulge-chasing kernel),
-//! and BD2VAL through the `bidiag-svd` solver subsystem — the dqds fast
-//! path as a single task, or Sturm spectrum slicing as one task per
-//! multi-value interval ([`Bd2ValOptions`] selects).  The thread count
-//! never changes the numerical result — the task graphs encode every data
-//! conflict of the sequential order and the spectrum slicing is
-//! thread-count independent, so any schedule executes the same arithmetic
-//! (see the `bidiag-runtime` crate docs).
+//! With `threads > 1` GE2BND runs its tile-kernel DAG on the
+//! work-stealing task runtime of `bidiag-runtime`; that is the only
+//! runtime submission of a default `ge2val` call.  BND2BD runs the
+//! cache-blocked pipelined bulge chase on the calling thread (the paper
+//! delegates this stage to PLASMA's multi-threaded bulge chase, but here
+//! its wavefront DAG is too fine and too deep to pay for scheduling — see
+//! [`crate::exec::bnd2bd_on_runtime`]), and so does the default dqds
+//! BD2VAL; only the Sturm spectrum-slicing solver and the bisection oracle
+//! fan out on the runtime ([`Bd2ValOptions`] selects).  The thread count
+//! never changes the numerical result — the GE2BND task graph encodes
+//! every data conflict of the sequential order and the spectrum slicing
+//! is thread-count independent, so any schedule executes the same
+//! arithmetic (see the `bidiag-runtime` crate docs).
 
 use crate::drivers::{ge2bnd_ops, Algorithm, GenConfig};
 use crate::error::{validate_finite, SvdError};
-use crate::exec::{bd2val_on_runtime, bnd2bd_on_runtime, execute_parallel, execute_sequential};
+use crate::exec::{bd2val_on_runtime, execute_parallel, execute_sequential};
 use crate::flops;
 use crate::ops::ops_flops;
 use bidiag_kernels::band::BandMatrix;
@@ -210,9 +211,10 @@ pub struct Ge2ValResult {
 /// pipeline `GE2BND -> BND2BD -> BD2VAL`.
 ///
 /// Wide matrices (`m < n`) are handled by transposing the input (the
-/// singular values are unchanged).  With `threads > 1` all three stages
-/// are scheduled on the work-stealing task runtime; the result is
-/// identical to the sequential path for every thread count.
+/// singular values are unchanged).  With `threads > 1` the GE2BND tile
+/// DAG runs on the work-stealing task runtime and the band stages run on
+/// the calling thread; the result is identical to the sequential path for
+/// every thread count.
 ///
 /// # Examples
 ///
@@ -224,9 +226,8 @@ pub struct Ge2ValResult {
 /// let sigma: Vec<f64> = (1..=16).map(f64::from).rev().collect();
 /// let (a, _) = latms(24, 16, &SpectrumKind::Explicit(sigma.clone()), 7);
 ///
-/// // Multi-threaded run: GE2BND, BND2BD and BD2VAL all execute on the
-/// // work-stealing runtime, and the spectrum comes back bit-identical to
-/// // the sequential result.
+/// // Multi-threaded run: GE2BND executes on the work-stealing runtime,
+/// // and the spectrum comes back bit-identical to the sequential result.
 /// let par = ge2val(&a, &Ge2Options::new(4).with_threads(4));
 /// let seq = ge2val(&a, &Ge2Options::new(4).with_threads(1));
 /// assert_eq!(par.singular_values, seq.singular_values);
@@ -280,24 +281,24 @@ pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
     let t0 = if run_id != 0 { obs::now_ns() } else { 0 };
     let stage1 = ge2bnd(a_ref, opts);
     stage_span(0, obs::KIND_STAGE_GE2BND, t0);
-    // BND2BD: pipelined bulge chasing on the band (one runtime task per
-    // wavefront when threaded; same wavefront schedule either way).
+    // BND2BD: the cache-blocked pipelined bulge chase, on this thread at
+    // every thread count (a runtime fan-out of its wavefronts costs more
+    // than it can gain — see `exec::bnd2bd_on_runtime`).
     let mut band = stage1.band.clone();
     let t1 = if run_id != 0 { obs::now_ns() } else { 0 };
-    let bidiag = if opts.threads > 1 {
-        bnd2bd_on_runtime(&mut band, opts.threads)
-    } else {
-        band.reduce_to_bidiagonal()
-    };
+    let bidiag = band.reduce_to_bidiagonal();
+    stage_span(1, obs::KIND_BND2BD, t1);
     stage_span(1, obs::KIND_STAGE_BND2BD, t1);
-    // BD2VAL: the solver picked in the options — dqds fast path by
-    // default, or Sturm spectrum slicing (one task per interval when
-    // threaded), or the per-value bisection oracle.
+    // BD2VAL: the solver picked in the options — the dqds fast path by
+    // default, on this thread; only Sturm spectrum slicing and the
+    // per-value bisection oracle fan out on the runtime when threaded.
     let t2 = if run_id != 0 { obs::now_ns() } else { 0 };
-    let mut sv = if opts.threads > 1 {
+    let mut sv = if opts.threads > 1 && opts.bd2val.solver != SvdSolver::Dqds {
         bd2val_on_runtime(&bidiag.diag, &bidiag.superdiag, opts.threads, &opts.bd2val)
     } else {
-        singular_values_with(&bidiag.diag, &bidiag.superdiag, &opts.bd2val)
+        let sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &opts.bd2val);
+        stage_span(2, obs::KIND_BD2VAL, t2);
+        sv
     };
     stage_span(2, obs::KIND_STAGE_BD2VAL, t2);
     // See the direct path above: total order, no NaN panic path.

@@ -25,9 +25,10 @@
 //! [`PIPELINE_SHIFT`] chase steps, which is exactly enough for the working
 //! windows of concurrent steps to be disjoint (see [`Wavefront`]).  Each
 //! region of the band is then touched once per *group* of sweeps instead of
-//! once per sweep (cache blocking), and the disjointness turns every
-//! wavefront into an independently schedulable task for the runtime
-//! (`bidiag_core::exec::bnd2bd_on_runtime`).
+//! once per sweep (cache blocking).  The chase runs on one thread: split
+//! into one runtime task per wavefront it would be ~10^5 tiny tasks whose
+//! dependency chain holds most of the work (ARCHITECTURE.md, "Why the
+//! chase runs on one thread").
 //!
 //! # Storage
 //!
@@ -156,11 +157,10 @@ unsafe fn rot_rows_walk_avx2(
 /// group.
 ///
 /// All steps of one wavefront touch pairwise disjoint row/column windows
-/// (see [`PIPELINE_SHIFT`]), so a wavefront is executed as one unit — a
-/// plain loop sequentially, one task on the runtime — and the result is
-/// bitwise independent of the order the steps run in.  Conflicting steps
-/// always land on distinct wavefronts, ordered like the classical
-/// sweep-after-sweep execution.
+/// (see [`PIPELINE_SHIFT`]), so a wavefront is executed as one unit and
+/// the result is bitwise independent of the order the steps run in.
+/// Conflicting steps always land on distinct wavefronts, ordered like the
+/// classical sweep-after-sweep execution.
 #[derive(Clone, Copy, Debug)]
 pub struct Wavefront {
     /// Superdiagonal being removed by this pass (`2..=bw`).
@@ -176,7 +176,8 @@ pub struct Wavefront {
 
 impl Wavefront {
     /// The active `(sweep, chase step)` pairs of this wavefront for a band
-    /// of order `n`, in lane order (the order both back-ends execute them).
+    /// of order `n`, in lane order (the order [`BandMatrix::run_wavefront`]
+    /// executes them).
     pub fn steps(&self, n: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
         let (b, omega) = (self.b, self.omega);
         (0..self.lanes).filter_map(move |l| {
@@ -188,27 +189,6 @@ impl Wavefront {
             let k = omega - lag;
             (k <= (n - 1 - i) / b).then_some((i, k))
         })
-    }
-
-    /// Row-block dependency keys of this wavefront: the ids (granularity
-    /// `block_rows`) of every band row block a step of this wavefront may
-    /// touch.  Two wavefronts with disjoint key sets touch disjoint memory,
-    /// which is what lets the runtime overlap them.
-    pub fn row_blocks(&self, n: usize, block_rows: usize) -> Vec<u64> {
-        let bs = block_rows.max(1);
-        let mut blocks = Vec::new();
-        for (i, k) in self.steps(n) {
-            let p = i + k * self.b;
-            let lo = p.saturating_sub(1) / bs;
-            let hi = (p + self.b).min(n - 1) / bs;
-            for blk in lo..=hi {
-                let blk = blk as u64;
-                if !blocks.contains(&blk) {
-                    blocks.push(blk);
-                }
-            }
-        }
-        blocks
     }
 }
 
@@ -253,8 +233,7 @@ fn pass_wavefronts(n: usize, b: usize, out: &mut Vec<Wavefront>) {
 /// each pass laid out as groups of pipelined sweeps (see the module docs
 /// and [`PIPELINE_SHIFT`]).  Executing the wavefronts in
 /// this order (each via [`BandMatrix::run_wavefront`]) is exactly
-/// [`BandMatrix::reduce_to_bidiagonal`]; the runtime back-end submits the
-/// same list as tasks and lets memory-disjoint wavefronts overlap.
+/// [`BandMatrix::reduce_to_bidiagonal`].
 pub fn bulge_wavefronts(n: usize, bw: usize) -> Vec<Wavefront> {
     let mut wfs = Vec::new();
     let mut b = bw;
@@ -574,9 +553,7 @@ impl BandMatrix {
     /// accumulated), exactly like the singular-value-only path of the paper.
     ///
     /// Executes the [`bulge_wavefronts`] schedule with one deflation
-    /// threshold for the whole reduction, which is also exactly what the
-    /// task-runtime back-end (`bidiag_core::exec::bnd2bd_on_runtime`) runs —
-    /// the two produce bitwise identical factors.
+    /// threshold for the whole reduction.
     pub fn reduce_to_bidiagonal(&mut self) -> Bidiagonal {
         let tol = self.deflation_tolerance();
         for wf in bulge_wavefronts(self.n, self.bw) {

@@ -158,9 +158,10 @@ pub const KERNEL_KIND_NAMES: [&str; 13] = [
     "TTLQT", "TTMLQ", "LASET",
 ];
 
-/// One BND2BD bulge-chasing wavefront task.
+/// One BND2BD bulge-chasing reduction, recorded on the calling thread.
 pub const KIND_BND2BD: u32 = 16;
-/// One BD2VAL solver task (dqds / sliced dqds / bisection).
+/// One BD2VAL solve: the dqds solve on the calling thread, or one
+/// spectrum-slice / bisection task on the runtime.
 pub const KIND_BD2VAL: u32 = 17;
 /// A direct-path (small-size crossover) SVD solve inside `SvdSession`.
 pub const KIND_DIRECT: u32 = 18;

@@ -492,6 +492,19 @@ pub struct TaskPool<S: 'static> {
     shared: Arc<PoolShared<S>>,
     threads: usize,
     handles: Vec<JoinHandle<()>>,
+    /// Worker threads that have not exited yet (see
+    /// [`TaskPool::live_workers`]).
+    live: Arc<AtomicUsize>,
+}
+
+/// Decrements its pool's live-worker count when the owning worker thread
+/// exits, on every path out of the worker (unwinding included).
+struct LiveWorker(Arc<AtomicUsize>);
+
+impl Drop for LiveWorker {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
 }
 
 impl<S: Send + 'static> TaskPool<S> {
@@ -524,13 +537,16 @@ impl<S: Send + 'static> TaskPool<S> {
             max_in_flight: config.max_in_flight,
         });
         let init = Arc::new(init);
+        let live = Arc::new(AtomicUsize::new(threads));
         let handles = workers
             .into_iter()
             .enumerate()
             .map(|(me, local)| {
                 let shared = Arc::clone(&shared);
                 let init = Arc::clone(&init);
+                let alive = LiveWorker(Arc::clone(&live));
                 std::thread::spawn(move || {
+                    let _alive = alive;
                     let mut scratch = init();
                     shared.worker_loop(me, local, &mut scratch);
                 })
@@ -540,12 +556,21 @@ impl<S: Send + 'static> TaskPool<S> {
             shared,
             threads,
             handles,
+            live,
         }
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The pool's live-worker counter: how many of its worker threads have
+    /// not exited yet.  The counter outlives the pool, so a caller can
+    /// check that dropping the pool joined every worker — it reads 0 once
+    /// `drop` has returned, whatever other threads the process runs.
+    pub fn live_workers(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.live)
     }
 
     /// The in-flight submission cap (`0` = unbounded).
@@ -928,6 +953,23 @@ mod tests {
             // Drop without waiting: the shutdown drain must run them all.
         }
         assert_eq!(acc.load(Ordering::SeqCst), 50);
+    }
+
+    #[test]
+    fn drop_joins_every_worker() {
+        let acc = Arc::new(AtomicU64::new(0));
+        let pool: TaskPool<u64> = TaskPool::new(3, || 0);
+        let live = pool.live_workers();
+        assert_eq!(live.load(Ordering::Acquire), 3);
+        let mut g = TaskGraph::new();
+        g.add_task(1.0, 0, 0, &[(0, Write)]);
+        pool.submit(g, counting_bodies(1, &acc))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(live.load(Ordering::Acquire), 3, "a worker exited early");
+        drop(pool);
+        assert_eq!(live.load(Ordering::Acquire), 0, "drop left workers running");
     }
 
     #[test]

@@ -51,9 +51,18 @@ fn kernel_spans(scope: &ScopedObs) -> Vec<Span> {
     spans
 }
 
+/// Span tag of the synthetic ring writers: outside the kind space (kernel
+/// tags 0..=12, task and stage markers 16..=26) but below the ring's
+/// 2^16 tag limit, so recycled rings holding earlier runs' executor spans
+/// can never be mistaken for them.
+const SYNTHETIC_KIND: u32 = 0xBEEF;
+/// High byte of every synthetic submission id.  Real ids count up from 1
+/// per process and never reach it.
+const SYNTHETIC_TAG: u64 = 0xA5 << 56;
+
 #[test]
 fn concurrent_ring_writers_produce_no_torn_spans_and_bounded_rings() {
-    let _scope = ScopedObs::new();
+    let scope = ScopedObs::new();
     const WRITERS: usize = 4;
     const PER_WRITER: usize = 3 * obs::RING_CAPACITY; // force overwrite-oldest
     let stop = Arc::new(AtomicBool::new(false));
@@ -62,15 +71,19 @@ fn concurrent_ring_writers_produce_no_torn_spans_and_bounded_rings() {
     let held_elsewhere = obs::ring_count() - obs::idle_rings();
 
     // A span is torn iff its fields violate the writer's invariants:
-    // end = start + 7777 and submission = worker << 32 | task.
+    // kind = SYNTHETIC_KIND, end = start + 7777 and
+    // submission = SYNTHETIC_TAG | worker << 32 | task.  A span carrying
+    // either synthetic marker must satisfy all of them; spans with neither
+    // are earlier runs' executor spans still held in recycled rings.
     let check = |s: &Span| {
-        if s.kind != 5 {
-            return; // span from another recorder (none expected, but safe)
+        if s.kind != SYNTHETIC_KIND && s.submission >> 56 != SYNTHETIC_TAG >> 56 {
+            return;
         }
+        assert_eq!(s.kind, SYNTHETIC_KIND, "torn span {s:?}");
         assert_eq!(s.end_ns, s.start_ns.wrapping_add(7777), "torn span {s:?}");
         assert_eq!(
             s.submission,
-            ((s.worker as u64) << 32) | s.task as u64,
+            SYNTHETIC_TAG | ((s.worker as u64) << 32) | s.task as u64,
             "torn span {s:?}"
         );
     };
@@ -88,9 +101,9 @@ fn concurrent_ring_writers_produce_no_torn_spans_and_bounded_rings() {
                     for i in 0..PER_WRITER {
                         let start = (w * PER_WRITER + i) as u64;
                         obs::record_span(Span {
-                            submission: ((w as u64) << 32) | i as u64,
+                            submission: SYNTHETIC_TAG | ((w as u64) << 32) | i as u64,
                             task: i as u32,
-                            kind: 5,
+                            kind: SYNTHETIC_KIND,
                             worker: w as u32,
                             start_ns: start,
                             end_ns: start + 7777,
@@ -148,6 +161,15 @@ fn concurrent_ring_writers_produce_no_torn_spans_and_bounded_rings() {
     for s in obs::snapshot_spans() {
         check(&s);
     }
+    // Nothing but the synthetic writers recorded inside this scope: an
+    // executor or pool worker of an earlier test that outlived its run
+    // would show up here.
+    let foreign: Vec<Span> = scope
+        .spans()
+        .into_iter()
+        .filter(|s| s.kind != SYNTHETIC_KIND)
+        .collect();
+    assert_eq!(foreign, Vec::new(), "a recorder outlived its run");
 }
 
 #[test]
@@ -272,6 +294,38 @@ fn threaded_ge2val_records_stage_and_pipeline_spans() {
     let snap = obs::registry().snapshot();
     let backend = snap.meta.get("simd_backend").expect("backend recorded");
     assert!(!backend.is_empty());
+}
+
+#[test]
+fn threaded_ge2val_runs_only_the_ge2bnd_tile_dag_on_workers() {
+    let scope = ScopedObs::new();
+    let a = reference_matrix();
+    let result = ge2val(&a, &reference_opts(4));
+    let ops = ge2bnd_ops(
+        P,
+        Q,
+        Algorithm::Bidiag,
+        &GenConfig::shared(NamedTree::Greedy),
+    );
+    assert_eq!(result.ge2bnd.expect("tiled path").num_tasks, ops.len());
+
+    // One runtime submission: the GE2BND tile kernels, one span per op.
+    // The band stages run on the caller and add no worker-track spans.
+    let spans = scope.spans();
+    let on_workers: Vec<&Span> = spans
+        .iter()
+        .filter(|s| s.worker != obs::WORKER_CALLER)
+        .collect();
+    assert_eq!(on_workers.len(), ops.len(), "worker-track task spans");
+    assert!(on_workers.iter().all(|s| s.kind <= 12), "non-kernel task");
+    let on_caller = |kind: u32| {
+        spans
+            .iter()
+            .filter(|s| s.kind == kind && s.worker == obs::WORKER_CALLER)
+            .count()
+    };
+    assert_eq!(on_caller(obs::KIND_BND2BD), 1);
+    assert_eq!(on_caller(obs::KIND_BD2VAL), 1);
 }
 
 #[test]
