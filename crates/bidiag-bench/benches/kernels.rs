@@ -726,7 +726,7 @@ fn batch_throughput_gate(test_mode: bool) -> Vec<bidiag_bench::BatchThroughputPo
 }
 
 /// Observability-plane cost on the reference GE2BND, measured as
-/// force-enabled vs disabled at `threads >= 2` (the threaded executor is
+/// force-enabled vs disabled at `threads >= 2` (the task pool is
 /// where every span-recording site lives; at 1 thread the sequential path
 /// has no sites on it).  The enabled-vs-disabled delta upper-bounds the
 /// contract the plane makes — a *disabled* site costs one relaxed load or
@@ -1020,7 +1020,7 @@ fn write_top_level_bench(
         r#"  "batch_throughput": {{
     "threads": {threads},
     "session": "persistent SvdSession, nb=64, direct crossover at n<=64, bounded blocking admission (max_in_flight=256, input validation on)",
-    "per_call": "ge2val per problem, nb=64, crossover disabled (fresh executor+scratch per call)",
+    "per_call": "ge2val per problem, nb=64, crossover disabled (fresh task pool+scratch per call)",
     "points": [
 {batch_rows}
     ]

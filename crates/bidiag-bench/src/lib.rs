@@ -601,7 +601,7 @@ impl BatchThroughputPoint {
 /// windows so thousands of problems never sit in flight at once — against
 /// the per-call baseline, [`ge2val`](bidiag_core::pipeline::ge2val) once
 /// per problem with the small-size crossover disabled (the pre-session
-/// production path: fresh executor and scratch per call).  Both paths use
+/// production path: fresh task pool and scratch per call).  Both paths use
 /// `threads` workers and `nb = 64`.  Before any timing, the session's
 /// spectra are cross-checked against the per-call path on every distinct
 /// problem (1e-10 relative on sigma_max) so the fast path can never "win"

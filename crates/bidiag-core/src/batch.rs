@@ -1,8 +1,8 @@
 //! The batched SVD runtime service: one persistent pool, many problems.
 //!
 //! [`crate::pipeline::ge2val`] is shaped for one large factorization — it
-//! spins up a thread team, allocates fresh kernel scratch, runs one DAG,
-//! and tears everything down.  The ROADMAP's serving scenario (millions of
+//! builds a task pool for the call, allocates fresh kernel scratch, submits
+//! one DAG, and drops the pool.  The ROADMAP's serving scenario (millions of
 //! small/medium spectra: per-user embedding blocks, per-request
 //! covariances) inverts the cost profile: the matrices are tiny and the
 //! per-call setup dominates.  [`SvdSession`] amortizes all of it:
@@ -64,12 +64,11 @@
 
 use crate::drivers::GenConfig;
 use crate::error::{validate_finite, SvdError};
-use crate::exec::build_graph;
-use crate::ops::{KernelScratch, TauTable};
-use crate::pipeline::{Ge2Options, DIRECT_CROSSOVER};
-use bidiag_kernels::band::BandMatrix;
+use crate::exec::{lower_tile_dag, restore_tiles};
+use crate::ops::KernelScratch;
+use crate::pipeline::{band_spectrum, extract_band, Ge2Options, StageSpans, DIRECT_CROSSOVER};
 use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
-use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
+use bidiag_matrix::{Matrix, TiledMatrix};
 use bidiag_obs as obs;
 use bidiag_runtime::{
     AccessMode, JobError, JobHandle, PoolConfig, SubmitError, TaskBodyWith, TaskGraph, TaskPool,
@@ -193,6 +192,12 @@ impl DirectScratch {
 pub struct SessionScratch {
     kernel: KernelScratch,
     direct: DirectScratch,
+}
+
+impl AsMut<KernelScratch> for SessionScratch {
+    fn as_mut(&mut self) -> &mut KernelScratch {
+        &mut self.kernel
+    }
 }
 
 /// Singular values of `a` through the scalar direct path, written into
@@ -515,39 +520,23 @@ impl SvdSession {
     }
 
     /// Blocked path: the GE2BND tile DAG plus one *sink* task running the
-    /// band extraction, BND2BD and BD2VAL stages (sequentially — with many
-    /// problems in flight, inter-problem parallelism keeps the workers
-    /// busier than intra-problem stage fan-out would).
+    /// band extraction, BND2BD and BD2VAL stages.
     fn submit_blocked(&self, a: &Matrix, block: bool) -> Result<SvdJob, SvdError> {
         let a_owned = if a.rows() >= a.cols() {
             a.clone()
         } else {
             a.transpose()
         };
-        let (m, n) = (a_owned.rows(), a_owned.cols());
-        let nb = self.opts.nb;
-        let algorithm = self.opts.resolve_algorithm(m, n);
-        let mut tiled = TiledMatrix::from_dense(&a_owned, nb);
+        let algorithm = self.opts.resolve_algorithm(a_owned.rows(), a_owned.cols());
+        let mut tiled = TiledMatrix::from_dense(&a_owned, self.opts.nb);
         drop(a_owned);
         let (p, q) = (tiled.tile_rows(), tiled.tile_cols());
         let cfg = GenConfig::shared(self.opts.tree);
         let ops = crate::drivers::ge2bnd_ops(p, q, algorithm, &cfg);
 
-        // Move the tiles into shared per-tile locks (row-major i * q + j),
-        // leaving the TiledMatrix shell to be refilled by the sink.
-        let mut shared: Vec<parking_lot::RwLock<Matrix>> = Vec::with_capacity(p * q);
-        for i in 0..p {
-            for j in 0..q {
-                shared.push(parking_lot::RwLock::new(std::mem::replace(
-                    tiled.tile_mut(i, j),
-                    Matrix::zeros(0, 0),
-                )));
-            }
-        }
-        let shared = Arc::new(shared);
-        let taus = Arc::new(TauTable::for_ops(&ops));
-
-        let mut graph = build_graph(&ops, q, &BlockCyclic::single_node());
+        // The tiles move into the DAG's per-tile locks, leaving the
+        // TiledMatrix shell to be refilled by the sink.
+        let (mut graph, mut bodies, tiles) = lower_tile_dag::<SessionScratch>(&ops, &mut tiled);
         // The sink declares a write on every data key any op touches, so
         // it depends (transitively) on the completion of the whole DAG.
         let mut keys: Vec<u64> = ops
@@ -561,42 +550,16 @@ impl SvdSession {
         graph.add_task(1.0, 0, obs::KIND_SINK, &sink_accesses);
 
         let result: Arc<OnceLock<Vec<f64>>> = Arc::new(OnceLock::new());
-        let mut bodies: Vec<TaskBodyWith<SessionScratch>> = ops
-            .iter()
-            .enumerate()
-            .map(|(op_id, &op)| {
-                let shared = Arc::clone(&shared);
-                let taus = Arc::clone(&taus);
-                Box::new(move |s: &mut SessionScratch| {
-                    op.execute_shared(op_id, &shared, q, &taus, &mut s.kernel);
-                }) as TaskBodyWith<SessionScratch>
-            })
-            .collect();
-        {
-            let shared = Arc::clone(&shared);
-            let slot = Arc::clone(&result);
-            let bd2val = self.opts.bd2val;
-            let mut tiled = tiled;
-            bodies.push(Box::new(move |_s: &mut SessionScratch| {
-                for i in 0..p {
-                    for j in 0..q {
-                        *tiled.tile_mut(i, j) =
-                            std::mem::replace(&mut *shared[i * q + j].write(), Matrix::zeros(0, 0));
-                    }
-                }
-                // Identical to ge2bnd + the sequential BND2BD / BD2VAL
-                // stages of ge2val — same arithmetic, same sort.
-                let bw = nb.min(n.saturating_sub(1)).max(1);
-                let mut band = BandMatrix::from_dense(&tiled.extract_upper_band(bw), bw);
-                let bidiag = band.reduce_to_bidiagonal();
-                let mut sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &bd2val);
-                // total_cmp: identical order on finite spectra, no panic on
-                // an injected-NaN one (which wait() then reports as a
-                // SolverFailure instead of a dead job).
-                sv.sort_by(|x, y| y.total_cmp(x));
-                slot.set(sv).expect("sink ran twice");
-            }) as TaskBodyWith<SessionScratch>);
-        }
+        let slot = Arc::clone(&result);
+        let bd2val = self.opts.bd2val;
+        bodies.push(Box::new(move |_s: &mut SessionScratch| {
+            restore_tiles(&tiles, &mut tiled);
+            // The band stages of per-call ge2val, sequential inside the
+            // sink: with many problems in flight, inter-problem
+            // parallelism keeps the workers busier than a fan-out would.
+            let sv = band_spectrum(extract_band(&tiled), &bd2val, 1, &StageSpans::start());
+            slot.set(sv).expect("sink ran twice");
+        }));
         let handle = if block {
             self.pool.submit(graph, bodies)
         } else {

@@ -185,19 +185,6 @@ pub fn try_bidiag_ops(p: usize, q: usize, cfg: &GenConfig) -> Result<Vec<TileOp>
             cols: q,
         });
     }
-    Ok(bidiag_ops(p, q, cfg))
-}
-
-/// Operation list of the BIDIAG algorithm on a `p x q` tile grid
-/// (`p >= q >= 1`): `QR(0); LQ(0); QR(1); LQ(1); ...; QR(q-1)`.
-///
-/// Panics on an invalid grid; boundary code that forwards user-provided
-/// shapes should call [`try_bidiag_ops`].
-pub fn bidiag_ops(p: usize, q: usize, cfg: &GenConfig) -> Vec<TileOp> {
-    assert!(
-        p >= q && q >= 1,
-        "BIDIAG requires p >= q >= 1 (got {p} x {q})"
-    );
     let mut ops = Vec::new();
     for k in 0..q {
         qr_step_ops(k, p, q, cfg, &mut ops);
@@ -205,7 +192,17 @@ pub fn bidiag_ops(p: usize, q: usize, cfg: &GenConfig) -> Vec<TileOp> {
             lq_step_ops(k, p, q, cfg, &mut ops);
         }
     }
-    ops
+    Ok(ops)
+}
+
+/// Operation list of the BIDIAG algorithm on a `p x q` tile grid
+/// (`p >= q >= 1`): `QR(0); LQ(0); QR(1); LQ(1); ...; QR(q-1)`.
+///
+/// Panics where [`try_bidiag_ops`] returns an error (a grid violating
+/// `p >= q >= 1`); boundary code that forwards user-provided shapes should
+/// call [`try_bidiag_ops`].
+pub fn bidiag_ops(p: usize, q: usize, cfg: &GenConfig) -> Vec<TileOp> {
+    try_bidiag_ops(p, q, cfg).expect("invalid BIDIAG tile grid")
 }
 
 /// Operation list of the plain hierarchical tiled QR factorization of a
@@ -292,20 +289,6 @@ pub fn try_rbidiag_ops(p: usize, q: usize, cfg: &GenConfig) -> Result<Vec<TileOp
             cols: q,
         });
     }
-    Ok(rbidiag_ops(p, q, cfg))
-}
-
-/// Operation list of the R-BIDIAG algorithm on a `p x q` tile grid:
-/// full QR factorization, then bidiagonalization of the top `q x q` R factor
-/// (whose first QR step is already done).
-///
-/// Panics on an invalid grid; boundary code that forwards user-provided
-/// shapes should call [`try_rbidiag_ops`].
-pub fn rbidiag_ops(p: usize, q: usize, cfg: &GenConfig) -> Vec<TileOp> {
-    assert!(
-        p >= q && q >= 1,
-        "R-BIDIAG requires p >= q >= 1 (got {p} x {q})"
-    );
     let mut ops = qr_factorization_ops(p, q, cfg);
     // Discard the Householder vectors stored below the diagonal of the R
     // factor (the true R is upper triangular): zero the strictly-lower tiles
@@ -337,7 +320,18 @@ pub fn rbidiag_ops(p: usize, q: usize, cfg: &GenConfig) -> Vec<TileOp> {
             lq_step_ops(k, q, q, cfg, &mut ops);
         }
     }
-    ops
+    Ok(ops)
+}
+
+/// Operation list of the R-BIDIAG algorithm on a `p x q` tile grid:
+/// full QR factorization, then bidiagonalization of the top `q x q` R factor
+/// (whose first QR step is already done).
+///
+/// Panics where [`try_rbidiag_ops`] returns an error (a grid violating
+/// `p >= q >= 1`); boundary code that forwards user-provided shapes should
+/// call [`try_rbidiag_ops`].
+pub fn rbidiag_ops(p: usize, q: usize, cfg: &GenConfig) -> Vec<TileOp> {
+    try_rbidiag_ops(p, q, cfg).expect("invalid R-BIDIAG tile grid")
 }
 
 /// Operation list for either algorithm.

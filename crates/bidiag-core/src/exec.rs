@@ -1,8 +1,9 @@
 //! Execution back-ends for tile-operation lists and pipeline stages.
 //!
 //! * [`execute_sequential`] — run the list in order (reference numerics),
-//! * [`execute_parallel`] — run it on the work-stealing shared-memory task
-//!   runtime of `bidiag-runtime` (dependencies inferred from data accesses),
+//! * [`execute_parallel`] — run it on the work-stealing task pool of
+//!   `bidiag-runtime`, one pool per call (dependencies inferred from data
+//!   accesses),
 //! * [`build_graph`] — lower the list to a [`TaskGraph`] for critical-path
 //!   measurements and machine simulation,
 //! * [`bnd2bd_on_runtime`] / [`bd2val_on_runtime`] — the second and third
@@ -16,11 +17,13 @@
 //!
 //! # Parallel data plane
 //!
-//! The parallel back-end layers its shared state on the DAG's ordering
-//! guarantees instead of global locks:
+//! One lowering turns an op list into a runnable tile DAG, for the per-call
+//! [`execute_parallel`] and for the blocked submissions of
+//! [`SvdSession`](crate::batch::SvdSession) alike.  It layers its shared
+//! state on the DAG's ordering guarantees instead of global locks:
 //!
-//! * tiles live behind *per-tile* `RwLock`s, needed only because the
-//!   region-level dependency keys deliberately let kernels touching
+//! * tiles move (no copy) into *per-tile* `RwLock`s, needed only because
+//!   the region-level dependency keys deliberately let kernels touching
 //!   disjoint regions of one tile overlap (see
 //!   [`TileOp::execute_shared`](crate::ops::TileOp::execute_shared));
 //! * compact-WY tau factors live in a pre-sized [`TauTable`] of once-cells
@@ -67,42 +70,59 @@ pub fn execute_parallel(ops: &[TileOp], a: &mut TiledMatrix, threads: usize) {
     if ops.is_empty() {
         return;
     }
-    let p = a.tile_rows();
-    let q = a.tile_cols();
+    let (graph, bodies, tiles) = lower_tile_dag::<KernelScratch>(ops, a);
+    let nb = a.nb();
+    runtime_execute_with(graph, bodies, threads, move || KernelScratch::for_tile(nb));
+    restore_tiles(&tiles, a);
+}
 
-    // Move the tiles into shared per-tile locks.
-    let mut shared: Vec<RwLock<Matrix>> = Vec::with_capacity(p * q);
+/// Tiles of a lowered DAG in per-tile locks, row-major: `(i, j) -> i * q + j`.
+pub(crate) type SharedTiles = Arc<Vec<RwLock<Matrix>>>;
+
+/// Lower an operation list on `a` to a runnable tile DAG: the data-flow
+/// graph plus one body per op, which runs its kernel with the executing
+/// worker's [`KernelScratch`].
+///
+/// The tiles move out of `a` into per-tile locks (leaving empty tiles
+/// behind, no copy) and the compact-WY factors live in a [`TauTable`] the
+/// bodies share; [`restore_tiles`] moves the tiles back once the DAG ran.
+pub(crate) fn lower_tile_dag<S: AsMut<KernelScratch>>(
+    ops: &[TileOp],
+    a: &mut TiledMatrix,
+) -> (TaskGraph, Vec<TaskBodyWith<S>>, SharedTiles) {
+    let (p, q) = (a.tile_rows(), a.tile_cols());
+    let mut tiles: Vec<RwLock<Matrix>> = Vec::with_capacity(p * q);
     for i in 0..p {
         for j in 0..q {
-            shared.push(RwLock::new(a.tile(i, j).clone()));
+            tiles.push(RwLock::new(std::mem::replace(
+                a.tile_mut(i, j),
+                Matrix::zeros(0, 0),
+            )));
         }
     }
-    let shared = Arc::new(shared);
+    let tiles = Arc::new(tiles);
     let taus = Arc::new(TauTable::for_ops(ops));
-
     let graph = build_graph(ops, q, &BlockCyclic::single_node());
-    let bodies: Vec<TaskBodyWith<KernelScratch>> = ops
+    let bodies = ops
         .iter()
         .enumerate()
         .map(|(op_id, &op)| {
-            let shared = Arc::clone(&shared);
+            let tiles = Arc::clone(&tiles);
             let taus = Arc::clone(&taus);
-            Box::new(move |scratch: &mut KernelScratch| {
-                // The shared vector is indexed row-major: (i, j) -> i * q + j.
-                op.execute_shared(op_id, &shared, q, &taus, scratch);
-            }) as TaskBodyWith<KernelScratch>
+            Box::new(move |s: &mut S| {
+                op.execute_shared(op_id, &tiles, q, &taus, s.as_mut());
+            }) as TaskBodyWith<S>
         })
         .collect();
-    let nb = a.nb();
-    runtime_execute_with(&graph, bodies, threads, move || KernelScratch::for_tile(nb));
+    (graph, bodies, tiles)
+}
 
-    // Copy the tiles back.
-    let shared = Arc::try_unwrap(shared).expect("all workers joined");
-    let mut it = shared.into_iter();
-    for i in 0..p {
-        for j in 0..q {
-            *a.tile_mut(i, j) = it.next().unwrap().into_inner();
-        }
+/// Move the tiles of a lowered DAG back into `a` (the inverse of
+/// [`lower_tile_dag`]'s move); call it once every op body has run.
+pub(crate) fn restore_tiles(tiles: &[RwLock<Matrix>], a: &mut TiledMatrix) {
+    let q = a.tile_cols();
+    for (k, tile) in tiles.iter().enumerate() {
+        *a.tile_mut(k / q, k % q) = std::mem::replace(&mut *tile.write(), Matrix::zeros(0, 0));
     }
 }
 

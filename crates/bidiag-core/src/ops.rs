@@ -5,7 +5,7 @@
 //! same list then feeds three back-ends:
 //!
 //! * sequential execution (reference numerics),
-//! * the shared-memory parallel executor of `bidiag-runtime`,
+//! * the shared-memory task pool of `bidiag-runtime`,
 //! * the task-graph analyses (critical paths) and machine simulations.
 //!
 //! Each operation knows which tiles and reflector-scalar vectors it reads and
@@ -209,6 +209,14 @@ impl KernelScratch {
 impl Default for KernelScratch {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Lets tile-DAG bodies borrow the kernel scratch out of any worker scratch
+/// type that carries one (`exec::lower_tile_dag`).
+impl AsMut<KernelScratch> for KernelScratch {
+    fn as_mut(&mut self) -> &mut KernelScratch {
+        self
     }
 }
 

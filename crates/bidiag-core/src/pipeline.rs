@@ -166,11 +166,31 @@ pub struct Ge2BndResult {
 
 /// Reduce a dense `m x n` matrix (`m >= n`) to band bidiagonal form using
 /// the tiled BIDIAG or R-BIDIAG algorithm.
+///
+/// Panics where [`try_ge2bnd`] returns an error: on a wide input (`m < n`;
+/// transpose it first) and on a non-finite entry.
 pub fn ge2bnd(a: &Matrix, opts: &Ge2Options) -> Ge2BndResult {
-    assert!(
-        a.rows() >= a.cols(),
-        "ge2bnd expects m >= n; transpose the input otherwise"
-    );
+    try_ge2bnd(a, opts).expect("ge2bnd rejected its input")
+}
+
+/// Fallible twin of [`ge2bnd`]: rejects wide inputs with
+/// [`SvdError::DimensionMismatch`] and non-finite entries with
+/// [`SvdError::NonFiniteInput`] instead of asserting or producing NaN
+/// garbage.
+pub fn try_ge2bnd(a: &Matrix, opts: &Ge2Options) -> Result<Ge2BndResult, SvdError> {
+    if a.rows() < a.cols() {
+        return Err(SvdError::DimensionMismatch {
+            context: "ge2bnd requires m >= n; transpose the input",
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    validate_finite(a)?;
+    Ok(factor_to_band(a, opts))
+}
+
+/// The GE2BND stage on a validated `m >= n` input.
+fn factor_to_band(a: &Matrix, opts: &Ge2Options) -> Ge2BndResult {
     let algorithm = opts.resolve_algorithm(a.rows(), a.cols());
     if obs::enabled() {
         // Stamp the trace/snapshot header with the kernel backend actually
@@ -186,15 +206,94 @@ pub fn ge2bnd(a: &Matrix, opts: &Ge2Options) -> Ge2BndResult {
     } else {
         execute_sequential(&ops, &mut tiled);
     }
-    let bw = opts.nb.min(a.cols().saturating_sub(1)).max(1);
-    let band = BandMatrix::from_dense(&tiled.extract_upper_band(bw), bw);
     Ge2BndResult {
-        band,
+        band: extract_band(&tiled),
         algorithm,
         num_tasks: ops.len(),
         kernel_flops: ops_flops(&ops, opts.nb),
         factored: tiled,
     }
+}
+
+/// The band bidiagonal factor of a GE2BND-factored tiled matrix: upper
+/// bandwidth `nb`, clamped to `[1, n - 1]`.
+pub(crate) fn extract_band(factored: &TiledMatrix) -> BandMatrix {
+    let bw = factored.nb().min(factored.cols().saturating_sub(1)).max(1);
+    BandMatrix::from_dense(&factored.extract_upper_band(bw), bw)
+}
+
+/// The stage spans of one pipeline run, all on the `WORKER_CALLER` track of
+/// the thread that runs the stages: the per-call [`ge2val`] caller, or the
+/// worker running a session's sink task.  A run id of 0 means tracing was
+/// off when the run started, and every method is then a no-op.
+pub(crate) struct StageSpans(u64);
+
+impl StageSpans {
+    pub(crate) fn start() -> Self {
+        StageSpans(if obs::enabled() {
+            obs::next_submission_id()
+        } else {
+            0
+        })
+    }
+
+    fn now(&self) -> u64 {
+        if self.0 != 0 {
+            obs::now_ns()
+        } else {
+            0
+        }
+    }
+
+    fn record(&self, task: u32, kind: u32, start_ns: u64) {
+        if self.0 != 0 {
+            obs::record_span(obs::Span {
+                submission: self.0,
+                task,
+                kind,
+                worker: obs::WORKER_CALLER,
+                start_ns,
+                end_ns: obs::now_ns(),
+            });
+        }
+    }
+}
+
+/// The band stages of GE2VAL on a band bidiagonal factor: BND2BD, BD2VAL
+/// and the sort into non-increasing order.
+///
+/// BND2BD is the cache-blocked pipelined bulge chase on this thread at
+/// every thread count (a runtime fan-out of its wavefronts costs more than
+/// it can gain — see [`crate::exec::bnd2bd_on_runtime`]).  BD2VAL runs the
+/// solver picked in `bd2val`: the dqds fast path on this thread, while the
+/// Sturm spectrum slicing and the per-value bisection oracle fan out on the
+/// runtime when `threads > 1`.  Per-call [`ge2val`] and the sink task of a
+/// blocked `SvdSession` submission both end here, so their spectra agree
+/// bit for bit.
+pub(crate) fn band_spectrum(
+    mut band: BandMatrix,
+    bd2val: &Bd2ValOptions,
+    threads: usize,
+    spans: &StageSpans,
+) -> Vec<f64> {
+    let t1 = spans.now();
+    let bidiag = band.reduce_to_bidiagonal();
+    spans.record(1, obs::KIND_BND2BD, t1);
+    spans.record(1, obs::KIND_STAGE_BND2BD, t1);
+    let t2 = spans.now();
+    let mut sv = if threads > 1 && bd2val.solver != SvdSolver::Dqds {
+        bd2val_on_runtime(&bidiag.diag, &bidiag.superdiag, threads, bd2val)
+    } else {
+        let sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, bd2val);
+        spans.record(2, obs::KIND_BD2VAL, t2);
+        sv
+    };
+    spans.record(2, obs::KIND_STAGE_BD2VAL, t2);
+    // `total_cmp` orders exactly like `partial_cmp` on the solver's
+    // non-negative output and cannot panic if poisoned NaNs slip through
+    // (they sort last and stay visible).
+    sv.sort_by(|a, b| b.total_cmp(a));
+    sv
 }
 
 /// Output of [`ge2val`].
@@ -216,6 +315,9 @@ pub struct Ge2ValResult {
 /// the calling thread; the result is identical to the sequential path for
 /// every thread count.
 ///
+/// Panics where [`try_ge2val`] returns an error: on a non-finite input
+/// entry, and on a solver that produced a non-finite singular value.
+///
 /// # Examples
 ///
 /// ```
@@ -236,6 +338,17 @@ pub struct Ge2ValResult {
 /// }
 /// ```
 pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
+    try_ge2val(a, opts).expect("ge2val failed")
+}
+
+/// Fallible twin of [`ge2val`]: rejects non-finite entries with
+/// [`SvdError::NonFiniteInput`] *before* any factorization work runs, and
+/// reports a solver that still produced non-finite values (a bug or
+/// injected fault, never reachable from validated input) as
+/// [`SvdError::SolverFailure`].  Validation reads the input but never
+/// changes the arithmetic.
+pub fn try_ge2val(a: &Matrix, opts: &Ge2Options) -> Result<Ge2ValResult, SvdError> {
+    validate_finite(a)?;
     let work;
     let a_ref = if a.rows() >= a.cols() {
         a
@@ -243,104 +356,34 @@ pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
         work = a.transpose();
         &work
     };
-    if opts.takes_direct_path(a.rows(), a.cols()) {
+    let (singular_values, ge2bnd) = if opts.takes_direct_path(a.rows(), a.cols()) {
         // Small-size crossover: scalar Golub–Kahan bidiagonalization
         // straight to BD2VAL — no tiling, no T-factors, no band stage.
         let mut w = a_ref.clone();
         let bidiag = gebd2(&mut w);
         let mut sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &opts.bd2val);
-        // `total_cmp` orders exactly like `partial_cmp` on the solver's
-        // non-negative output and cannot panic if poisoned NaNs slip
-        // through (they sort last and stay visible).
         sv.sort_by(|a, b| b.total_cmp(a));
-        return Ge2ValResult {
-            singular_values: sv,
-            ge2bnd: None,
-        };
-    }
-    // Stage-boundary spans: one run id for the whole pipeline, recorded on
-    // the calling thread so the trace shows the coarse GE2BND/BND2BD/BD2VAL
-    // phases above the per-task lanes.
-    let run_id = if obs::enabled() {
-        obs::next_submission_id()
+        (sv, None)
     } else {
-        0
+        // Stage-boundary spans: one run id for the whole pipeline, recorded
+        // on the calling thread so the trace shows the coarse
+        // GE2BND/BND2BD/BD2VAL phases above the per-task lanes.
+        let spans = StageSpans::start();
+        let t0 = spans.now();
+        let stage1 = factor_to_band(a_ref, opts);
+        spans.record(0, obs::KIND_STAGE_GE2BND, t0);
+        let sv = band_spectrum(stage1.band.clone(), &opts.bd2val, opts.threads, &spans);
+        (sv, Some(stage1))
     };
-    let stage_span = |task: u32, kind: u32, start_ns: u64| {
-        if run_id != 0 {
-            obs::record_span(obs::Span {
-                submission: run_id,
-                task,
-                kind,
-                worker: obs::WORKER_CALLER,
-                start_ns,
-                end_ns: obs::now_ns(),
-            });
-        }
-    };
-    let t0 = if run_id != 0 { obs::now_ns() } else { 0 };
-    let stage1 = ge2bnd(a_ref, opts);
-    stage_span(0, obs::KIND_STAGE_GE2BND, t0);
-    // BND2BD: the cache-blocked pipelined bulge chase, on this thread at
-    // every thread count (a runtime fan-out of its wavefronts costs more
-    // than it can gain — see `exec::bnd2bd_on_runtime`).
-    let mut band = stage1.band.clone();
-    let t1 = if run_id != 0 { obs::now_ns() } else { 0 };
-    let bidiag = band.reduce_to_bidiagonal();
-    stage_span(1, obs::KIND_BND2BD, t1);
-    stage_span(1, obs::KIND_STAGE_BND2BD, t1);
-    // BD2VAL: the solver picked in the options — the dqds fast path by
-    // default, on this thread; only Sturm spectrum slicing and the
-    // per-value bisection oracle fan out on the runtime when threaded.
-    let t2 = if run_id != 0 { obs::now_ns() } else { 0 };
-    let mut sv = if opts.threads > 1 && opts.bd2val.solver != SvdSolver::Dqds {
-        bd2val_on_runtime(&bidiag.diag, &bidiag.superdiag, opts.threads, &opts.bd2val)
-    } else {
-        let sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &opts.bd2val);
-        stage_span(2, obs::KIND_BD2VAL, t2);
-        sv
-    };
-    stage_span(2, obs::KIND_STAGE_BD2VAL, t2);
-    // See the direct path above: total order, no NaN panic path.
-    sv.sort_by(|a, b| b.total_cmp(a));
-    Ge2ValResult {
-        singular_values: sv,
-        ge2bnd: Some(stage1),
-    }
-}
-
-/// Fallible twin of [`ge2bnd`]: rejects wide inputs with
-/// [`SvdError::DimensionMismatch`] and non-finite entries with
-/// [`SvdError::NonFiniteInput`] instead of asserting or producing NaN
-/// garbage.  On `Ok`, the result is exactly what [`ge2bnd`] returns.
-pub fn try_ge2bnd(a: &Matrix, opts: &Ge2Options) -> Result<Ge2BndResult, SvdError> {
-    if a.rows() < a.cols() {
-        return Err(SvdError::DimensionMismatch {
-            context: "ge2bnd requires m >= n; transpose the input",
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    validate_finite(a)?;
-    Ok(ge2bnd(a, opts))
-}
-
-/// Fallible twin of [`ge2val`]: rejects non-finite entries with
-/// [`SvdError::NonFiniteInput`] *before* any factorization work runs, and
-/// reports a solver that still produced non-finite values (a bug or
-/// injected fault, never reachable from validated input) as
-/// [`SvdError::SolverFailure`].  On `Ok`, the result is **bitwise** what
-/// [`ge2val`] returns — validation reads the input but never changes the
-/// arithmetic.
-pub fn try_ge2val(a: &Matrix, opts: &Ge2Options) -> Result<Ge2ValResult, SvdError> {
-    validate_finite(a)?;
-    let result = ge2val(a, opts);
-    if let Some(&bad) = result.singular_values.iter().find(|v| !v.is_finite()) {
+    if let Some(&bad) = singular_values.iter().find(|v| !v.is_finite()) {
         return Err(SvdError::SolverFailure(format!(
             "solver produced non-finite singular value {bad} from finite input"
         )));
     }
-    Ok(result)
+    Ok(Ge2ValResult {
+        singular_values,
+        ge2bnd,
+    })
 }
 
 #[cfg(test)]

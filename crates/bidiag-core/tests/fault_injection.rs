@@ -76,7 +76,10 @@ fn injected_body_panic_surfaces_as_solver_failure_and_the_pool_survives() {
     }
 
     // The poisoned submission is contained: the same pool keeps serving,
-    // and its results are bitwise what per-call ge2val computes.
+    // and its results are bitwise what per-call ge2val computes.  Nothing
+    // is armed here, but the scope keeps another test's faults from firing
+    // in these pool bodies (session and per-call ge2val alike).
+    let _clean = failpoint::scoped(&[]);
     for seed in 4..8u64 {
         let b = random_gaussian(12, 12, seed);
         assert_eq!(
@@ -190,6 +193,7 @@ fn poison_panic_and_cancel_never_change_subsequent_arithmetic() {
         job.cancel();
         let _ = job.wait(); // Cancelled or Ok depending on timing; both contained
     }
+    let _clean = failpoint::scoped(&[]);
     for (seed, n) in [(23u64, 8usize), (24, 33), (25, 72)] {
         let a = random_gaussian(n, n, seed);
         assert_eq!(

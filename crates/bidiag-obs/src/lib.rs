@@ -8,9 +8,9 @@
 //!    `AtomicU64` words, so writers never block and readers detect (and skip)
 //!    in-flight overwrites instead of observing torn spans. Rings are leaked
 //!    into a global registry and recycled through a free list when their
-//!    owning thread exits, which bounds memory across repeated
-//!    `execute_parallel` calls *and* keeps spans readable after worker
-//!    threads have joined.
+//!    owning thread exits, which bounds memory across repeated task pools
+//!    (one per `execute_parallel` call) *and* keeps spans readable after
+//!    worker threads have joined.
 //! 2. **Metrics registry** — relaxed-atomic counters, a max-gauge, and
 //!    log2-bucketed histograms (queue wait / compute / end-to-end latency),
 //!    snapshotted into a plain struct with text and JSON renderings.
@@ -158,20 +158,21 @@ pub const KERNEL_KIND_NAMES: [&str; 13] = [
     "TTLQT", "TTMLQ", "LASET",
 ];
 
-/// One BND2BD bulge-chasing reduction, recorded on the calling thread.
+/// One BND2BD bulge-chasing reduction, recorded on the thread that runs it
+/// (the `ge2val` caller, or the worker running a session's sink task).
 pub const KIND_BND2BD: u32 = 16;
-/// One BD2VAL solve: the dqds solve on the calling thread, or one
-/// spectrum-slice / bisection task on the runtime.
+/// One BD2VAL solve: the dqds solve on the thread that runs the band
+/// stages, or one spectrum-slice / bisection task on the runtime.
 pub const KIND_BD2VAL: u32 = 17;
 /// A direct-path (small-size crossover) SVD solve inside `SvdSession`.
 pub const KIND_DIRECT: u32 = 18;
 /// The band-extraction sink task of a blocked `SvdSession` submission.
 pub const KIND_SINK: u32 = 19;
-/// Whole GE2BND stage, recorded on the submitting thread.
+/// Whole GE2BND stage, recorded on the `ge2val` caller thread.
 pub const KIND_STAGE_GE2BND: u32 = 24;
-/// Whole BND2BD stage, recorded on the submitting thread.
+/// Whole BND2BD stage, recorded on the thread that runs the band stages.
 pub const KIND_STAGE_BND2BD: u32 = 25;
-/// Whole BD2VAL stage, recorded on the submitting thread.
+/// Whole BD2VAL stage, recorded on the thread that runs the band stages.
 pub const KIND_STAGE_BD2VAL: u32 = 26;
 
 /// Human-readable name for a span kind (kernel tags and stage markers).
@@ -189,7 +190,9 @@ pub fn kind_name(kind: u32) -> &'static str {
     }
 }
 
-/// Sentinel worker id for spans recorded on a caller (non-pool) thread.
+/// Sentinel worker id for spans recorded outside the runtime's task lanes:
+/// stage spans on a caller thread, or band-stage spans inside a session's
+/// sink task (those land on the executing worker's ring).
 pub const WORKER_CALLER: u32 = 0xFFFF;
 
 /// A completed task span. `submission` groups spans belonging to one
@@ -605,7 +608,7 @@ impl HistogramSnapshot {
 /// The process-wide metrics registry. All fields are updated with relaxed
 /// atomics by instrumentation sites; durations are in nanoseconds.
 pub struct MetricsRegistry {
-    /// DAG tasks executed (executor + pool bodies).
+    /// DAG tasks executed (task-pool bodies).
     pub tasks_executed: Counter,
     /// Successful steals from another worker's deque.
     pub steals: Counter,

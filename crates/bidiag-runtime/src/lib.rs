@@ -5,14 +5,16 @@
 //!
 //! * [`graph::TaskGraph`] — data-flow task graphs built by task insertion
 //!   with automatic RAW/WAR/WAW dependency inference,
-//! * [`executor`] — a work-stealing, event-driven scheduler executing the
-//!   graph on the local machine (shared-memory experiments): per-worker
-//!   LIFO deques with random stealing, bottom-level priorities, and a
-//!   condition-variable idle protocol with no timed polling,
-//! * [`pool::TaskPool`] — the same scheduler made persistent: long-lived
-//!   workers serving a *stream* of independent task graphs (the batched
-//!   SVD session of `bidiag-core` is built on it), parked on the idle
-//!   gate between submissions,
+//! * [`pool::TaskPool`] — the work-stealing, event-driven scheduler that
+//!   executes graphs on the local machine (shared-memory experiments):
+//!   per-worker LIFO deques with random stealing, bottom-level priorities,
+//!   and a condition-variable idle protocol with no timed polling.  Its
+//!   workers serve a *stream* of independent task graphs (the batched SVD
+//!   session of `bidiag-core` is built on it) and park between
+//!   submissions,
+//! * [`executor`] — one-shot entry points ([`execute_parallel`],
+//!   [`execute_parallel_with`]) that run a single graph on a pool built
+//!   for the call, plus the sequential reference [`execute_sequential`],
 //! * [`sim`] — a deterministic list-scheduling simulator with per-node core
 //!   pools and an `alpha/beta` communication model, used for critical-path
 //!   measurements and for the distributed-memory experiments that the paper
@@ -20,7 +22,7 @@
 //!
 //! # Scheduling invariants
 //!
-//! The executor may run independent tasks in any interleaving, yet every
+//! The scheduler may run independent tasks in any interleaving, yet every
 //! algorithm built on it is deterministic: the [`graph::TaskGraph`] encodes
 //! *all* data conflicts of the sequential algorithm as edges (reads and
 //! writes are declared per task, and RAW/WAR/WAW pairs become
@@ -28,8 +30,8 @@
 //! kernels to exactly the same operand values as the sequential order.
 //! Floating-point results are therefore bitwise identical across thread
 //! counts and schedules — the property the randomized stress tests in
-//! `tests/scheduler_stress.rs` exercise.  See the [`executor`] module docs
-//! for the steal protocol and its exclusivity guarantees.
+//! `tests/scheduler_stress.rs` exercise.  See the [`pool`] module docs for
+//! the steal protocol and its exclusivity guarantees.
 
 #![warn(missing_docs)]
 

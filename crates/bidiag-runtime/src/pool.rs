@@ -1,14 +1,35 @@
-//! A *persistent* work-stealing pool: the executor's scheduler re-armed for
-//! a stream of independent task graphs instead of one graph per thread team.
+//! The work-stealing scheduler: a pool of workers executing a stream of
+//! independent task graphs.
 //!
-//! [`crate::execute_parallel_with`] spawns its workers, runs one graph, and
-//! joins — the right shape for one big factorization, but pure overhead when
-//! serving millions of small problems (the batched-SVD scenario of the
-//! ROADMAP).  [`TaskPool`] keeps the same scheduling protocol — per-worker
-//! LIFO deques, random stealing, bottom-level priorities, work-first
-//! handoff, and the condition-variable [`IdleGate`](crate::executor) — but
-//! makes the workers long-lived:
+//! This plays the role PaRSEC plays in the paper's implementation: tasks
+//! become ready when their data-flow predecessors complete and are executed
+//! by a pool of worker threads.  It is the crate's only scheduler: a
+//! long-lived [`TaskPool`] serves the batched SVD session, and
+//! [`crate::execute_parallel_with`] builds one per call, submits one graph,
+//! waits and drops it.  There is no timed polling anywhere on the execution
+//! path.
 //!
+//! * **Per-worker LIFO deques.**  Every worker owns a
+//!   [`crossbeam::deque::Worker`] deque.  Tasks a worker makes ready are
+//!   pushed on its own deque, so the successors of a just-finished tile
+//!   kernel — whose operands are hot in that worker's cache — are executed
+//!   by the same worker in depth-first order, exactly like the
+//!   locality-aware queues of PaRSEC.
+//! * **Random stealing.**  A worker whose deque drains pulls from the shared
+//!   injector, then picks victims in a per-worker pseudo-random order and
+//!   steals the *oldest* entry of a victim's deque (the FIFO end), which is
+//!   the entry the victim would touch last.
+//! * **Priorities.**  When a finished task releases several successors at
+//!   once, they are pushed in increasing bottom-level order so that the
+//!   LIFO pop picks the successor with the *longest* remaining critical
+//!   path first — the same bottom-level priority the paper's runtime uses.
+//!   The highest-priority successor skips the deque entirely and is run
+//!   next by the same worker (a work-first handoff).
+//! * **Idle = parked.**  Workers that find no runnable task block on a
+//!   condition variable guarded by a generation counter (the internal
+//!   `IdleGate`): publishing new tasks bumps the generation and wakes
+//!   sleepers, so a worker only rescans when something actually changed.
+//!   A parked pool consumes no CPU until the next `submit` publishes work.
 //! * **Submissions, not teams.**  [`TaskPool::submit`] packages a
 //!   [`TaskGraph`] plus its bodies into an [`Arc`]'d submission and seeds
 //!   its source tasks into a shared injector queue.  Deque items are
@@ -19,9 +40,6 @@
 //!   value created by the pool's `init` closure at spawn time and lends it
 //!   to every body it ever runs, across all submissions — allocation reuse
 //!   spans the pool's lifetime, not a single graph.
-//! * **Idle = parked.**  Between submissions every worker blocks on the
-//!   idle gate; a parked pool consumes no CPU until the next `submit`
-//!   publishes work.
 //! * **Bounded admission with backpressure.**  A pool built with
 //!   [`TaskPool::with_config`] caps the number of submissions in flight:
 //!   [`TaskPool::submit`] parks the *caller* on a condition variable until
@@ -42,11 +60,22 @@
 //!   drain-as-no-ops machinery for cooperative cancellation, and
 //!   [`JobHandle::wait_timeout`] bounds how long a caller blocks.
 //!
-//! The once-cell body-slot soundness argument of the executor carries over
-//! verbatim: a task id of a given submission becomes ready exactly once,
-//! is claimed exactly once (deque and injector ends are mutually
-//! exclusive), and the claim is ordered after the slot write by the
-//! injector/deque mutex.
+//! # Why the once-cell task slots are sound
+//!
+//! Task bodies are stored in [`UnsafeCell`] slots without any lock.  The
+//! dependency protocol guarantees exclusive access:
+//!
+//! 1. a task id of a given submission becomes *ready* exactly once — only
+//!    the worker whose `fetch_sub` drops the predecessor counter to zero
+//!    publishes it (and `submit` seeds each source task exactly once);
+//! 2. a published id is claimed exactly once — deque and injector ends are
+//!    mutually exclusive, so exactly one worker pops or steals it;
+//! 3. the handoff happens through the injector or a deque, whose
+//!    synchronization orders the slot write before the slot take.
+//!
+//! Hence each slot is taken exactly once, by exactly one thread, after its
+//! body was written — the invariant the internal `BodySlots::take` relies
+//! on.
 //!
 //! Dropping the pool closes admission, then the gate; each worker drains
 //! every task it can still find (its own deque, the injector, every
@@ -62,17 +91,131 @@
 //! drive every error path deterministically.  Disarmed they cost one
 //! relaxed atomic load.
 
-use crate::executor::{BodySlots, IdleGate, TaskBodyWith};
+use crate::executor::TaskBodyWith;
 use crate::graph::{TaskGraph, TaskId};
 use bidiag_obs as obs;
 use crossbeam::deque::{Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
+use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Once-cell storage of the task bodies: each slot is written once at
+/// submission and taken exactly once by the worker that claimed the task
+/// (see the module docs for the exclusivity argument).
+struct BodySlots<S>(Vec<UnsafeCell<Option<TaskBodyWith<S>>>>);
+
+// SAFETY: slots are only accessed through `take`, whose per-id exclusivity
+// is guaranteed by the ready/claim protocol described in the module docs.
+unsafe impl<S> Sync for BodySlots<S> {}
+
+impl<S> BodySlots<S> {
+    fn new(bodies: Vec<TaskBodyWith<S>>) -> Self {
+        BodySlots(
+            bodies
+                .into_iter()
+                .map(|b| UnsafeCell::new(Some(b)))
+                .collect(),
+        )
+    }
+
+    /// Take the body of task `id`.
+    ///
+    /// SAFETY contract (upheld by the scheduler): `take(id)` is called at
+    /// most once per id, and the call happens after the constructor's write
+    /// with a synchronization edge in between (injector or deque).
+    fn take(&self, id: TaskId) -> TaskBodyWith<S> {
+        // SAFETY: per the contract above, no other thread reads or writes
+        // slot `id` concurrently, and its write happened-before this read.
+        unsafe { (*self.0[id].get()).take().expect("task executed twice") }
+    }
+}
+
+/// The event gate of the idle protocol: a generation counter bumped on every
+/// publication of new work, plus a `done` latch flipped at shutdown.
+/// Workers park on the condition variable when a full scan of all deques
+/// found nothing and the generation has not moved since the scan started —
+/// so a publication between scan and park is never lost.
+struct IdleGate {
+    state: Mutex<GateState>,
+    cv: Condvar,
+}
+
+struct GateState {
+    generation: u64,
+    sleepers: usize,
+    done: bool,
+}
+
+impl IdleGate {
+    fn new() -> Self {
+        IdleGate {
+            state: Mutex::new(GateState {
+                generation: 0,
+                sleepers: 0,
+                done: false,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Announce that new tasks were pushed on some deque or the injector.
+    fn publish(&self) {
+        let mut st = self.state.lock();
+        st.generation += 1;
+        if st.sleepers > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Announce that the pool is shutting down.
+    fn finish(&self) {
+        let mut st = self.state.lock();
+        st.done = true;
+        self.cv.notify_all();
+    }
+
+    /// Park until something changes.  `seen` is the generation the caller's
+    /// last (fruitless) scan started from; returns `true` when the caller
+    /// should rescan for work and `false` once the pool is shutting down.
+    fn park(&self, seen: &mut u64) -> bool {
+        let mut st = self.state.lock();
+        loop {
+            if st.done {
+                return false;
+            }
+            if st.generation != *seen {
+                *seen = st.generation;
+                return true;
+            }
+            st.sleepers += 1;
+            if obs::enabled() {
+                let reg = obs::registry();
+                reg.parks.incr();
+                let t0 = obs::now_ns();
+                self.cv.wait(&mut st);
+                reg.idle_ns.add(obs::now_ns() - t0);
+            } else {
+                self.cv.wait(&mut st);
+            }
+            st.sleepers -= 1;
+        }
+    }
+}
+
+#[inline]
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
 
 /// Why a submission finished without producing its results.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -291,7 +434,7 @@ struct PoolShared<S> {
 impl<S> PoolShared<S> {
     /// Run `id` of `sub`, release its successors, and return the
     /// highest-priority newly-ready successor for direct execution
-    /// (work-first handoff) — the pool twin of the executor's `run_task`.
+    /// (work-first handoff).
     fn run_item(
         &self,
         sub: &Arc<Submission<S>>,
@@ -403,7 +546,7 @@ impl<S> PoolShared<S> {
         if n <= 1 {
             return None;
         }
-        let start = (crate::executor::xorshift(rng) as usize) % n;
+        let start = (xorshift(rng) as usize) % n;
         for k in 0..n {
             let victim = (start + k) % n;
             if victim == me {

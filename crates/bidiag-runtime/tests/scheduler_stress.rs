@@ -1,9 +1,12 @@
-//! Stress tests of the work-stealing executor: randomized layered DAGs must
-//! produce results identical to sequential execution at every thread count,
-//! and pathological graph shapes must not deadlock even when the thread
-//! count far exceeds the hardware parallelism.
+//! Stress tests of the work-stealing scheduler: randomized layered DAGs must
+//! produce results identical to sequential execution at every thread count
+//! and when many of them share one pool, and pathological graph shapes must
+//! not deadlock even when the thread count far exceeds the hardware
+//! parallelism.
 
-use bidiag_runtime::{execute_parallel, execute_sequential, AccessMode, TaskBody, TaskGraph};
+use bidiag_runtime::{
+    execute_parallel, execute_sequential, AccessMode, TaskBody, TaskBodyWith, TaskGraph, TaskPool,
+};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,10 +37,10 @@ fn random_layered_graph(layers: usize, width: usize, seed: u64) -> TaskGraph {
     g
 }
 
-/// Run the graph with bodies that fold each task's id into per-task cells
-/// using an order-sensitive hash of its predecessors' cells, so any
-/// dependency violation or dropped task changes the final digest.
-fn run_digest(g: &TaskGraph, threads: Option<usize>) -> Vec<u64> {
+/// Bodies that fold each task's id into per-task cells using an
+/// order-sensitive hash of its predecessors' cells, so any dependency
+/// violation or dropped task changes the final digest.
+fn digest_bodies(g: &TaskGraph) -> (Arc<Vec<AtomicU64>>, Vec<TaskBody>) {
     let n = g.len();
     let cells: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
     let bodies: Vec<TaskBody> = (0..n)
@@ -55,11 +58,21 @@ fn run_digest(g: &TaskGraph, threads: Option<usize>) -> Vec<u64> {
             }) as TaskBody
         })
         .collect();
+    (cells, bodies)
+}
+
+fn read_digest(cells: &[AtomicU64]) -> Vec<u64> {
+    cells.iter().map(|c| c.load(Ordering::SeqCst)).collect()
+}
+
+/// Run the graph with [`digest_bodies`] and return the digest.
+fn run_digest(g: &TaskGraph, threads: Option<usize>) -> Vec<u64> {
+    let (cells, bodies) = digest_bodies(g);
     match threads {
         Some(t) => execute_parallel(g, bodies, t),
         None => execute_sequential(g, bodies),
     }
-    cells.iter().map(|c| c.load(Ordering::SeqCst)).collect()
+    read_digest(&cells)
 }
 
 #[test]
@@ -153,4 +166,39 @@ fn source_heavy_graph_seeds_every_worker() {
     for threads in [3usize, 16] {
         assert_eq!(run_digest(&g, Some(threads)), reference);
     }
+}
+
+#[test]
+fn random_dags_from_concurrent_submitters_interleave_on_one_pool() {
+    // Three threads each keep four random DAGs in flight on the same
+    // three-worker pool, so tasks of up to twelve graphs share the deques.
+    // Every digest must equal its graph's sequential one bit for bit.
+    let pool: TaskPool<()> = TaskPool::new(3, || ());
+    std::thread::scope(|sc| {
+        for submitter in 0..3u64 {
+            let pool = &pool;
+            sc.spawn(move || {
+                for round in 0..5u64 {
+                    let jobs: Vec<_> = (0..4u64)
+                        .map(|k| {
+                            let seed = 1000 * submitter + 10 * round + k;
+                            let g = random_layered_graph(10, 8, seed);
+                            let reference = run_digest(&g, None);
+                            let (cells, bodies) = digest_bodies(&g);
+                            let bodies: Vec<TaskBodyWith<()>> = bodies
+                                .into_iter()
+                                .map(|b| Box::new(move |_: &mut ()| b()) as TaskBodyWith<()>)
+                                .collect();
+                            let job = pool.submit(g, bodies).expect("pool is open");
+                            (seed, job, cells, reference)
+                        })
+                        .collect();
+                    for (seed, job, cells, reference) in jobs {
+                        job.wait().expect("no body panicked");
+                        assert_eq!(read_digest(&cells), reference, "seed {seed}");
+                    }
+                }
+            });
+        }
+    });
 }

@@ -8,7 +8,7 @@
 //! The headline test closes the paper's loop: a threaded GE2BND reference
 //! run is traced, the recorded spans are reattached to the task DAG, and
 //! the measured longest dependent chain must equal the Section IV model's
-//! chain — made deterministic by the executor's record-before-release
+//! chain — made deterministic by the scheduler's record-before-release
 //! invariant (`end[pred] <= start[succ]` on every edge).
 
 use bidiag_repro::core::cp;
@@ -38,7 +38,7 @@ fn reference_opts(threads: usize) -> Ge2Options {
         .with_threads(threads)
 }
 
-/// Kernel-task spans (tags 0..=12) of the single executor run inside the
+/// Kernel-task spans (tags 0..=12) of the single runtime submission inside the
 /// scope, sorted by start time.
 fn kernel_spans(scope: &ScopedObs) -> Vec<Span> {
     let spans: Vec<Span> = scope.spans().into_iter().filter(|s| s.kind <= 12).collect();
@@ -326,6 +326,63 @@ fn threaded_ge2val_runs_only_the_ge2bnd_tile_dag_on_workers() {
     };
     assert_eq!(on_caller(obs::KIND_BND2BD), 1);
     assert_eq!(on_caller(obs::KIND_BD2VAL), 1);
+}
+
+#[test]
+fn threaded_ge2val_is_one_runtime_submission() {
+    let _scope = ScopedObs::new();
+    let a = reference_matrix();
+    let reg = obs::registry();
+    // threads = 1 runs GE2BND sequentially: nothing reaches the runtime.
+    // Every threaded call submits GE2BND's tile DAG once and nothing else
+    // (the band stages and the dqds BD2VAL run on the caller), and that
+    // submission feeds the queue-wait / compute / latency histograms.
+    for (threads, expect) in [(1usize, 0u64), (2, 1), (4, 1), (4, 1), (1, 0)] {
+        let submissions = reg.submissions.get();
+        let latencies = reg.latency.snapshot().count;
+        let queue_waits = reg.queue_wait.snapshot().count;
+        let result = ge2val(&a, &reference_opts(threads));
+        assert!(
+            result.ge2bnd.is_some(),
+            "reference run takes the tiled path"
+        );
+        assert_eq!(
+            reg.submissions.get() - submissions,
+            expect,
+            "runtime submissions of one ge2val at {threads} threads"
+        );
+        assert_eq!(reg.latency.snapshot().count - latencies, expect);
+        assert_eq!(reg.queue_wait.snapshot().count - queue_waits, expect);
+    }
+}
+
+#[test]
+fn blocked_session_submission_records_band_stage_spans_inside_its_sink() {
+    let scope = ScopedObs::new();
+    let a = reference_matrix();
+    // Ge2Options::new leaves the small-size crossover disabled, so the
+    // session runs the tile DAG plus its band-stage sink.
+    let opts = reference_opts(2);
+    assert!(!opts.takes_direct_path(M, N));
+    let sv = {
+        let session = SvdSession::with_options(opts);
+        session.submit(&a).unwrap().wait().unwrap()
+    };
+    let spans = scope.spans();
+    let sinks: Vec<&Span> = spans.iter().filter(|s| s.kind == obs::KIND_SINK).collect();
+    assert_eq!(sinks.len(), 1, "one blocked submission, one sink");
+    let sink = sinks[0];
+    for kind in [obs::KIND_BND2BD, obs::KIND_BD2VAL] {
+        let of_kind: Vec<&Span> = spans.iter().filter(|s| s.kind == kind).collect();
+        assert_eq!(of_kind.len(), 1, "{} spans", obs::kind_name(kind));
+        let s = of_kind[0];
+        assert!(
+            s.start_ns >= sink.start_ns && s.end_ns <= sink.end_ns,
+            "{s:?} outside the sink {sink:?}"
+        );
+    }
+    // Same band stages as per-call ge2val, so the same spectrum.
+    assert_eq!(sv, ge2val(&a, &opts).singular_values);
 }
 
 #[test]
